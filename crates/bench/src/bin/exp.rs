@@ -488,18 +488,29 @@ fn run_vantage(exp: &Experiment, config: &WorldConfig) {
 
 // --------------------------------------------------------- §3.4 validation
 
-/// Collects per-IP byte totals for flows into a published prefix set.
-struct PublishedSpaceSink {
-    prefixes: Vec<iotmap_nettypes::Ipv4Prefix>,
-    active: HashMap<IpAddr, u64>,
+/// Per-IP byte totals for flows into a published prefix set.
+struct PublishedSpaceFold<'a> {
+    prefixes: &'a [iotmap_nettypes::Ipv4Prefix],
 }
 
-impl iotmap_netflow::FlowSink for PublishedSpaceSink {
-    fn accept(&mut self, r: &iotmap_netflow::FlowRecord) {
+impl iotmap_netflow::FlowFold for PublishedSpaceFold<'_> {
+    type Partial = HashMap<IpAddr, u64>;
+
+    fn make(&self) -> Self::Partial {
+        HashMap::new()
+    }
+
+    fn fold(&self, acc: &mut Self::Partial, r: &iotmap_netflow::FlowRecord) {
         if let IpAddr::V4(a) = r.remote {
             if self.prefixes.iter().any(|p| p.contains(a)) {
-                *self.active.entry(r.remote).or_default() += r.bytes;
+                *acc.entry(r.remote).or_default() += r.bytes;
             }
+        }
+    }
+
+    fn merge(&self, acc: &mut Self::Partial, other: Self::Partial) {
+        for (ip, bytes) in other {
+            *acc.entry(ip).or_default() += bytes;
         }
     }
 }
@@ -533,12 +544,13 @@ fn run_validation(exp: &Experiment) {
     // the whole point is to catch active published IPs the methodology
     // missed.
     eprintln!("# replaying traffic against Microsoft's published space…");
-    let mut sink = PublishedSpaceSink {
-        prefixes: pub_truth.microsoft_prefixes.clone(),
-        active: HashMap::new(),
+    let fold = PublishedSpaceFold {
+        prefixes: &pub_truth.microsoft_prefixes,
     };
-    iotmap_world::TrafficSimulator::new(&exp.world).run(exp.world.config.study_period, &mut sink);
-    let cov = iotmap_core::validate::ActiveCoverage::compute(disc, &sink.active);
+    let (active, _) = exp
+        .simulator()
+        .run_fold(exp.world.config.study_period, &fold);
+    let cov = iotmap_core::validate::ActiveCoverage::compute(disc, &active);
     println!(
         "microsoft: {} published-space IPs active at the ISP; methodology misses {} (≈{} of that traffic volume)",
         cov.active_published,
@@ -601,7 +613,7 @@ fn run_diversity(exp: &Experiment) {
 
 // ------------------------------------------------------------------ Fig 5
 
-fn run_fig5(exp: &Experiment, contacts: &iotmap_traffic::ContactSink<'_>) {
+fn run_fig5(exp: &Experiment, contacts: &iotmap_traffic::LineContacts) {
     let analysis = ScannerAnalysis::new(&exp.index, contacts);
     let thresholds = [10, 20, 50, 100, 200, 500, 1000];
     let mut t = TextTable::new(&["Threshold", "Lines flagged", "IPv4 visibility"]);
@@ -624,7 +636,7 @@ fn run_fig5(exp: &Experiment, contacts: &iotmap_traffic::ContactSink<'_>) {
 
 fn run_fig6(
     exp: &Experiment,
-    contacts: &iotmap_traffic::ContactSink<'_>,
+    contacts: &iotmap_traffic::LineContacts,
     excluded: &HashSet<iotmap_netflow::LineId>,
 ) {
     let vis = visibility_per_provider(&exp.index, contacts, excluded);
@@ -646,7 +658,7 @@ fn run_fig6(
 
 fn run_fig7(
     exp: &Experiment,
-    contacts: &iotmap_traffic::ContactSink<'_>,
+    contacts: &iotmap_traffic::LineContacts,
     excluded: &HashSet<iotmap_netflow::LineId>,
 ) {
     // Restricted map: what certificates alone would have found.

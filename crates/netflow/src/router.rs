@@ -15,7 +15,6 @@ use crate::record::FlowRecord;
 #[cfg(test)]
 use crate::record::LineId;
 use crate::sampler::PacketSampler;
-use crate::sink::FlowSink;
 use iotmap_faults::NetflowFaults;
 use iotmap_nettypes::SimRng;
 
@@ -75,47 +74,46 @@ impl BorderRouter {
         }
     }
 
-    /// Process one true flow and forward the exported record, if any.
-    pub fn process(&mut self, true_flow: &FlowRecord, sink: &mut dyn FlowSink) {
+    /// Process one true flow and return the exported record, if any.
+    pub fn process(&mut self, true_flow: &FlowRecord) -> Option<FlowRecord> {
         if true_flow.line.0 > self.max_line {
             self.spoofed_dropped += 1;
-            return;
+            return None;
         }
-        match self.sampler.sample(true_flow) {
-            None => self.sampled_out += 1,
-            Some(mut est) => {
-                // Export faults come after the sampler so its RNG stream —
-                // and therefore every surviving estimate — is unchanged by
-                // the fault layer.
-                if iotmap_faults::drops(
-                    self.fault_seed,
-                    "netflow.reset",
-                    true_flow.time.epoch_hours(),
-                    self.faults.reset_rate,
-                ) {
-                    self.export_dropped += 1;
-                    self.reset_dropped += 1;
-                    return;
-                }
-                let flow_key = iotmap_faults::key3(
-                    iotmap_faults::key2(true_flow.time.unix(), true_flow.line.0),
-                    iotmap_faults::key_ip(true_flow.remote),
-                    iotmap_faults::key2(true_flow.port.port as u64, true_flow.direction as u64),
-                );
-                if iotmap_faults::drops(
-                    self.fault_seed,
-                    "netflow.export_drop",
-                    flow_key,
-                    self.faults.export_drop_rate,
-                ) {
-                    self.export_dropped += 1;
-                    return;
-                }
-                est.line = self.anonymizer.anonymize(true_flow.line);
-                self.exported += 1;
-                sink.accept(&est);
-            }
+        let Some(mut est) = self.sampler.sample(true_flow) else {
+            self.sampled_out += 1;
+            return None;
+        };
+        // Export faults come after the sampler so its RNG stream — and
+        // therefore every surviving estimate — is unchanged by the fault
+        // layer.
+        if iotmap_faults::drops(
+            self.fault_seed,
+            "netflow.reset",
+            true_flow.time.epoch_hours(),
+            self.faults.reset_rate,
+        ) {
+            self.export_dropped += 1;
+            self.reset_dropped += 1;
+            return None;
         }
+        let flow_key = iotmap_faults::key3(
+            iotmap_faults::key2(true_flow.time.unix(), true_flow.line.0),
+            iotmap_faults::key_ip(true_flow.remote),
+            iotmap_faults::key2(true_flow.port.port as u64, true_flow.direction as u64),
+        );
+        if iotmap_faults::drops(
+            self.fault_seed,
+            "netflow.export_drop",
+            flow_key,
+            self.faults.export_drop_rate,
+        ) {
+            self.export_dropped += 1;
+            return None;
+        }
+        est.line = self.anonymizer.anonymize(true_flow.line);
+        self.exported += 1;
+        Some(est)
     }
 
     /// Report this router's lifetime tallies to the observability layer
@@ -136,7 +134,6 @@ impl BorderRouter {
 mod tests {
     use super::*;
     use crate::record::Direction;
-    use crate::sink::StoringSink;
     use iotmap_nettypes::{Date, PortProto};
 
     fn flow(line: u64, bytes: u64, packets: u64) -> FlowRecord {
@@ -154,46 +151,61 @@ mod tests {
     #[test]
     fn spoofed_sources_dropped() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(1));
-        let mut sink = StoringSink::new();
-        r.process(&flow(100, 10, 1), &mut sink);
-        r.process(&flow(99, 10, 1), &mut sink);
+        assert_eq!(r.process(&flow(100, 10, 1)), None);
+        assert!(r.process(&flow(99, 10, 1)).is_some());
         assert_eq!(r.spoofed_dropped, 1);
-        assert_eq!(sink.records.len(), 1);
+        assert_eq!(r.exported, 1);
     }
 
     #[test]
     fn lines_are_anonymized_consistently() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(1));
-        let mut sink = StoringSink::new();
-        r.process(&flow(5, 10, 1), &mut sink);
-        r.process(&flow(5, 20, 1), &mut sink);
-        r.process(&flow(6, 30, 1), &mut sink);
-        assert_ne!(sink.records[0].line, LineId(5));
-        assert_eq!(sink.records[0].line, sink.records[1].line);
-        assert_ne!(sink.records[0].line, sink.records[2].line);
+        let mut export = |line| r.process(&flow(line, 10, 1)).expect("unsampled").line;
+        let (a, b, c) = (export(5), export(5), export(6));
+        assert_ne!(a, LineId(5));
+        assert_eq!(a, b);
+        assert_ne!(a, c);
     }
 
     #[test]
     fn sampling_accounted() {
         let mut r = BorderRouter::new(1000, 99, 7, SimRng::new(2));
-        let mut sink = StoringSink::new();
-        for _ in 0..500 {
-            r.process(&flow(1, 100, 1), &mut sink);
-        }
+        let exported = (0..500).filter_map(|_| r.process(&flow(1, 100, 1))).count();
         assert_eq!(r.exported + r.sampled_out, 500);
         assert!(r.sampled_out > 450, "sampled_out {}", r.sampled_out);
-        assert_eq!(sink.records.len() as u64, r.exported);
+        assert_eq!(exported as u64, r.exported);
     }
 
     #[test]
     fn unsampled_router_exports_everything() {
         let mut r = BorderRouter::new(1, 99, 7, SimRng::new(3));
-        let mut sink = StoringSink::new();
-        for i in 0..50 {
-            r.process(&flow(i % 10, 100, 5), &mut sink);
-        }
+        let records: Vec<FlowRecord> = (0..50)
+            .filter_map(|i| r.process(&flow(i % 10, 100, 5)))
+            .collect();
         assert_eq!(r.exported, 50);
-        assert_eq!(sink.records.len(), 50);
-        assert_eq!(sink.records[0].bytes, 100);
+        assert_eq!(records.len(), 50);
+        assert_eq!(records[0].bytes, 100);
+    }
+
+    #[test]
+    fn export_faults_are_deterministic_and_nested() {
+        let run = |rate: f64| {
+            let faults = NetflowFaults {
+                export_drop_rate: rate,
+                reset_rate: 0.0,
+            };
+            let mut r = BorderRouter::with_faults(1, 199, 7, SimRng::new(4), 7, faults);
+            let kept: Vec<u64> = (0..200)
+                .filter(|&i| r.process(&flow(i, 10, 1)).is_some())
+                .collect();
+            assert_eq!(r.export_dropped + kept.len() as u64, 200);
+            kept
+        };
+        assert_eq!(run(0.3), run(0.3), "pure rolls: identical reruns");
+        assert_eq!(run(0.0).len(), 200, "zero rate drops nothing");
+        let (light, heavy) = (run(0.1), run(0.5));
+        assert!(heavy.len() < light.len());
+        // Nested drops: every survivor of the heavy plan survived light.
+        assert!(heavy.iter().all(|l| light.contains(l)));
     }
 }

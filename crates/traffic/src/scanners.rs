@@ -6,9 +6,13 @@
 //! if it contacts more than a threshold of the server IPs."
 
 use crate::index::IpIndex;
-use iotmap_netflow::{FlowFold, FlowRecord, FlowSink, LineId};
+use iotmap_netflow::{FlowFold, FlowRecord, LineId};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
+
+/// The contact pass's result: per line, the distinct backend IPs it
+/// contacted (both families).
+pub type LineContacts = HashMap<LineId, HashSet<IpAddr>>;
 
 /// The contact pass as a mergeable fold: per-line contact sets are
 /// pure set unions, so per-shard partials merged in any split of the
@@ -25,7 +29,7 @@ impl<'a> ContactFold<'a> {
 }
 
 impl FlowFold for ContactFold<'_> {
-    type Partial = HashMap<LineId, HashSet<IpAddr>>;
+    type Partial = LineContacts;
 
     fn make(&self) -> Self::Partial {
         HashMap::new()
@@ -45,38 +49,6 @@ impl FlowFold for ContactFold<'_> {
     }
 }
 
-/// First pass over the flows: per-line backend contact sets.
-pub struct ContactSink<'a> {
-    fold: ContactFold<'a>,
-    /// Per line: distinct backend IPs contacted (both families).
-    pub per_line: HashMap<LineId, HashSet<IpAddr>>,
-}
-
-impl<'a> ContactSink<'a> {
-    /// New sink over an index.
-    pub fn new(index: &'a IpIndex) -> Self {
-        ContactSink {
-            fold: ContactFold::new(index),
-            per_line: HashMap::new(),
-        }
-    }
-
-    /// Wrap an already-folded contact partial (e.g. from a streaming
-    /// [`ContactFold`] pass) so the scanner analysis can consume it.
-    pub fn from_parts(index: &'a IpIndex, per_line: HashMap<LineId, HashSet<IpAddr>>) -> Self {
-        ContactSink {
-            fold: ContactFold::new(index),
-            per_line,
-        }
-    }
-}
-
-impl FlowSink for ContactSink<'_> {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.fold.fold(&mut self.per_line, record);
-    }
-}
-
 /// One point of the Figure 5 curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScannerCurvePoint {
@@ -92,19 +64,18 @@ pub struct ScannerCurvePoint {
 /// The scanner analysis over contact sets.
 pub struct ScannerAnalysis<'a> {
     index: &'a IpIndex,
-    contacts: &'a ContactSink<'a>,
+    contacts: &'a LineContacts,
 }
 
 impl<'a> ScannerAnalysis<'a> {
     /// Analyse a completed contact pass.
-    pub fn new(index: &'a IpIndex, contacts: &'a ContactSink<'a>) -> Self {
+    pub fn new(index: &'a IpIndex, contacts: &'a LineContacts) -> Self {
         ScannerAnalysis { index, contacts }
     }
 
     /// Lines contacting at least `threshold` distinct backend IPs.
     pub fn flagged_lines(&self, threshold: usize) -> HashSet<LineId> {
         self.contacts
-            .per_line
             .iter()
             .filter(|(_, s)| s.len() >= threshold)
             .map(|(l, _)| *l)
@@ -119,12 +90,7 @@ impl<'a> ScannerAnalysis<'a> {
             return 0.0;
         }
         let mut seen: HashSet<IpAddr> = HashSet::new();
-        for (_, contacts) in self
-            .contacts
-            .per_line
-            .iter()
-            .filter(|(_, s)| s.len() < threshold)
-        {
+        for contacts in self.contacts.values().filter(|s| s.len() < threshold) {
             seen.extend(contacts.iter().filter(|ip| ip.is_ipv4()));
         }
         seen.len() as f64 / total as f64
@@ -137,12 +103,7 @@ impl<'a> ScannerAnalysis<'a> {
             return 0.0;
         }
         let mut seen: HashSet<IpAddr> = HashSet::new();
-        for (_, contacts) in self
-            .contacts
-            .per_line
-            .iter()
-            .filter(|(_, s)| s.len() < threshold)
-        {
+        for contacts in self.contacts.values().filter(|s| s.len() < threshold) {
             seen.extend(contacts.iter().filter(|ip| ip.is_ipv6()));
         }
         seen.len() as f64 / total as f64
@@ -196,20 +157,22 @@ mod tests {
         }
     }
 
-    fn contact_ips(sink: &mut ContactSink<'_>, line: u64, n: usize) {
+    fn contact_ips(idx: &IpIndex, contacts: &mut LineContacts, line: u64, n: usize) {
+        let fold = ContactFold::new(idx);
         for i in 0..n {
-            sink.accept(&flow(line, &format!("10.0.{}.{}", i / 250, 1 + i % 250)));
+            let ip = format!("10.0.{}.{}", i / 250, 1 + i % 250);
+            fold.fold(contacts, &flow(line, &ip));
         }
     }
 
     #[test]
     fn threshold_separates_scanners_from_households() {
         let idx = index(500);
-        let mut sink = ContactSink::new(&idx);
-        contact_ips(&mut sink, 1, 3); // household
-        contact_ips(&mut sink, 2, 5); // bigger household
-        contact_ips(&mut sink, 3, 400); // scanner
-        let analysis = ScannerAnalysis::new(&idx, &sink);
+        let mut contacts = LineContacts::new();
+        contact_ips(&idx, &mut contacts, 1, 3); // household
+        contact_ips(&idx, &mut contacts, 2, 5); // bigger household
+        contact_ips(&idx, &mut contacts, 3, 400); // scanner
+        let analysis = ScannerAnalysis::new(&idx, &contacts);
         assert_eq!(analysis.flagged_lines(100).len(), 1);
         assert!(analysis.flagged_lines(100).contains(&LineId(3)));
         assert_eq!(analysis.flagged_lines(4).len(), 2);
@@ -218,10 +181,10 @@ mod tests {
     #[test]
     fn visibility_excludes_scanner_contacts() {
         let idx = index(100);
-        let mut sink = ContactSink::new(&idx);
-        contact_ips(&mut sink, 1, 10); // household contacting 10 of 100
-        contact_ips(&mut sink, 2, 90); // scanner
-        let analysis = ScannerAnalysis::new(&idx, &sink);
+        let mut contacts = LineContacts::new();
+        contact_ips(&idx, &mut contacts, 1, 10); // household contacting 10 of 100
+        contact_ips(&idx, &mut contacts, 2, 90); // scanner
+        let analysis = ScannerAnalysis::new(&idx, &contacts);
         // With a high threshold the scanner is kept: full visibility.
         assert!((analysis.v4_visibility(1000) - 0.9).abs() < 1e-9);
         // With threshold 50 the scanner is dropped: only the household.
@@ -231,11 +194,11 @@ mod tests {
     #[test]
     fn curve_is_monotone_in_lines() {
         let idx = index(300);
-        let mut sink = ContactSink::new(&idx);
+        let mut contacts = LineContacts::new();
         for line in 0..20 {
-            contact_ips(&mut sink, line, 3 + (line as usize) * 10);
+            contact_ips(&idx, &mut contacts, line, 3 + (line as usize) * 10);
         }
-        let analysis = ScannerAnalysis::new(&idx, &sink);
+        let analysis = ScannerAnalysis::new(&idx, &contacts);
         let curve = analysis.curve(&[10, 50, 100, 200]);
         assert_eq!(curve.len(), 4);
         for w in curve.windows(2) {
@@ -267,8 +230,8 @@ mod tests {
     #[test]
     fn non_backend_remotes_ignored() {
         let idx = index(10);
-        let mut sink = ContactSink::new(&idx);
-        sink.accept(&flow(1, "99.99.99.99"));
-        assert!(sink.per_line.is_empty());
+        let mut contacts = LineContacts::new();
+        ContactFold::new(&idx).fold(&mut contacts, &flow(1, "99.99.99.99"));
+        assert!(contacts.is_empty());
     }
 }

@@ -1,5 +1,5 @@
 //! The ISP traffic simulator: ground-truth flows → border router →
-//! analysis sinks.
+//! analysis folds.
 //!
 //! For every subscriber line, every device generates sessions according to
 //! its provider's traffic profile (diurnal shape, volume, port mix,
@@ -7,8 +7,8 @@
 //! returns that day. Scanner lines probe broad swaths of the backend
 //! address space. Everything passes through the ISP's
 //! [`iotmap_netflow::BorderRouter`] (sampling, BCP 38, anonymization)
-//! before it reaches any sink — the analyses only ever see what the paper's
-//! authors saw.
+//! before it reaches any [`FlowFold`] — the analyses only ever see what the
+//! paper's authors saw.
 
 use crate::build::World;
 use crate::isp::{Device, ScannerKind, SubscriberLine};
@@ -16,7 +16,7 @@ use crate::providers::DomainStyle;
 use crate::server::ServerId;
 use iotmap_dns::{resolve, ResolutionContext, RrType};
 use iotmap_faults::NetflowFaults;
-use iotmap_netflow::{BorderRouter, Direction, FlowFold, FlowRecord, FlowSink, LineId};
+use iotmap_netflow::{BorderRouter, Direction, FlowFold, FlowRecord, LineId};
 use iotmap_nettypes::{dist, Continent, Date, DomainName, SimDuration, SimRng, StudyPeriod};
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
@@ -24,16 +24,6 @@ use std::net::IpAddr;
 /// Lines per generation block: bounds buffered flows regardless of
 /// population size.
 const BLOCK_LINES: usize = 2048;
-
-/// Adapter collecting routed exports into a block-local buffer so the
-/// streaming fold can shard over them.
-struct BufferSink<'v>(&'v mut Vec<FlowRecord>);
-
-impl FlowSink for BufferSink<'_> {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.0.push(*record);
-    }
-}
 
 /// Summary counters from one simulation pass.
 #[derive(Debug, Default, Clone, Copy)]
@@ -125,49 +115,12 @@ impl<'a> TrafficSimulator<'a> {
         }
     }
 
-    /// Simulate a period, pushing exported flows into `sink`.
-    pub fn run(&self, period: StudyPeriod, sink: &mut dyn FlowSink) -> TrafficStats {
-        let _span = iotmap_obs::span!("world.traffic_simulation");
-        let world = self.world;
-        let rng = SimRng::new(world.config.seed).fork("traffic");
-        let mut router = BorderRouter::with_faults(
-            world.config.sampling_rate,
-            world.isp.lines.len() as u64 - 1,
-            world.config.seed ^ 0x0150_cafe,
-            rng.fork("router"),
-            self.fault_seed,
-            self.netflow_faults.clone(),
-        );
-        let affected = self.affected_servers(period);
-
-        let mut stats = TrafficStats::default();
-        let flow_span = iotmap_obs::span!("netflow.flow_generation");
-        for block in world.isp.lines.chunks(BLOCK_LINES) {
-            let buffers = self.block_flows(block, period, &affected, &rng);
-            for (flows, line_stats) in buffers {
-                stats.flows_generated += line_stats.flows_generated;
-                stats.device_days += line_stats.device_days;
-                for record in &flows {
-                    router.process(record, sink);
-                }
-            }
-        }
-        drop(flow_span);
-        sink.finish();
-        stats.flows_exported = router.exported;
-        router.flush_metrics();
-        iotmap_obs::count!("netflow.flows_generated", stats.flows_generated);
-        iotmap_obs::count!("world.device_days", stats.device_days);
-        stats
-    }
-
     /// Simulate a period, streaming exported flows through a mergeable
-    /// [`FlowFold`] instead of a serial sink. Peak memory is one block of
-    /// exported records plus the aggregate state — the full flow set is
-    /// never materialized. The fold consumes the exact export sequence of
-    /// [`TrafficSimulator::run`] (per-shard partials merge in shard
-    /// order), so the result is byte-identical to a serial sink pass at
-    /// any thread count.
+    /// [`FlowFold`]. Peak memory is one block of exported records plus
+    /// the aggregate state — the full flow set is never materialized.
+    /// The router sees the serial record sequence and per-shard partials
+    /// merge in shard order, so the result is byte-identical at any
+    /// thread count.
     pub fn run_fold<F>(&self, period: StudyPeriod, fold: &F) -> (F::Partial, TrafficStats)
     where
         F: FlowFold + Sync,
@@ -232,13 +185,10 @@ impl<'a> TrafficSimulator<'a> {
                 };
                 let buffers = self.block_flows(block, period, &affected, &rng);
                 exported.clear();
-                let mut buffer_sink = BufferSink(&mut exported);
                 for (flows, line_stats) in buffers {
                     stats.flows_generated += line_stats.flows_generated;
                     stats.device_days += line_stats.device_days;
-                    for record in &flows {
-                        router.process(record, &mut buffer_sink);
-                    }
+                    exported.extend(flows.iter().filter_map(|r| router.process(r)));
                 }
                 let partial = iotmap_par::shard_fold(
                     &exported,
@@ -641,7 +591,7 @@ impl<'a> TrafficSimulator<'a> {
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
-    use iotmap_netflow::StoringSink;
+    use iotmap_netflow::{CollectFold, CountingFold};
 
     fn world() -> World {
         World::generate(&WorldConfig::small(42))
@@ -651,22 +601,21 @@ mod tests {
     fn week_of_traffic_has_sane_shape() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        let stats = sim.run(w.config.study_period, &mut sink);
+        let (records, stats) = sim.run_fold(w.config.study_period, &CollectFold);
         assert!(stats.flows_generated > 10_000, "{stats:?}");
-        assert_eq!(stats.flows_exported as usize, sink.records.len());
+        assert_eq!(stats.flows_exported as usize, records.len());
 
         // Distinct active lines ≈ 15% of the population (2.32M of 15M in
         // the paper).
         let mut lines: HashSet<LineId> = HashSet::new();
-        for r in &sink.records {
+        for r in &records {
             lines.insert(r.line);
         }
         let frac = lines.len() as f64 / w.isp.lines.len() as f64;
         assert!((0.10..0.25).contains(&frac), "active line fraction {frac}");
 
         // All remotes are known servers.
-        for r in sink.records.iter().take(2000) {
+        for r in records.iter().take(2000) {
             assert!(w.server_by_ip.contains_key(&r.remote));
         }
     }
@@ -675,11 +624,7 @@ mod tests {
     fn traffic_is_deterministic() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let run = || {
-            let mut sink = StoringSink::new();
-            sim.run(w.config.study_period, &mut sink);
-            sink.records.len()
-        };
+        let run = || sim.run_fold(w.config.study_period, &CollectFold).0;
         assert_eq!(run(), run());
     }
 
@@ -687,16 +632,13 @@ mod tests {
     fn downstream_and_upstream_both_present() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
-        let dn: u64 = sink
-            .records
+        let (records, _) = sim.run_fold(w.config.study_period, &CollectFold);
+        let dn: u64 = records
             .iter()
             .filter(|r| r.direction == Direction::Downstream)
             .map(|r| r.bytes)
             .sum();
-        let up: u64 = sink
-            .records
+        let up: u64 = records
             .iter()
             .filter(|r| r.direction == Direction::Upstream)
             .map(|r| r.bytes)
@@ -713,8 +655,7 @@ mod tests {
             ..WorldConfig::small(42)
         });
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
+        let (records, _) = sim.run_fold(w.config.study_period, &CollectFold);
         let affected = w.outage_affected_servers();
         let affected_ips: HashSet<IpAddr> = affected.iter().map(|&sid| w.servers[sid].ip).collect();
         let window = w.events.outage.window;
@@ -725,7 +666,7 @@ mod tests {
         let mut out_window = 0.0f64;
         let mut out_hours = 0u32;
         let mut by_hour: HashMap<u64, u64> = HashMap::new();
-        for r in &sink.records {
+        for r in &records {
             if r.direction == Direction::Downstream && affected_ips.contains(&r.remote) {
                 *by_hour.entry(r.time.epoch_hours()).or_default() += r.bytes;
             }
@@ -758,10 +699,9 @@ mod tests {
     fn scanners_touch_far_more_servers_than_households() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
+        let (records, _) = sim.run_fold(w.config.study_period, &CollectFold);
         let mut per_line: HashMap<LineId, HashSet<IpAddr>> = HashMap::new();
-        for r in &sink.records {
+        for r in &records {
             per_line.entry(r.line).or_default().insert(r.remote);
         }
         let max_contact = per_line.values().map(|s| s.len()).max().unwrap_or(0);
@@ -783,13 +723,12 @@ mod tests {
     fn v6_capable_devices_generate_v6_flows() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
-        let v6_flows = sink.records.iter().filter(|r| r.remote.is_ipv6()).count();
+        let (records, _) = sim.run_fold(w.config.study_period, &CollectFold);
+        let v6_flows = records.iter().filter(|r| r.remote.is_ipv6()).count();
         assert!(v6_flows > 0, "dual-stack devices must produce AAAA traffic");
         // …but v6 remains a small minority (§5.2: 202k v6 vs 2.32M v4
         // daily lines).
-        let frac = v6_flows as f64 / sink.records.len() as f64;
+        let frac = v6_flows as f64 / records.len() as f64;
         assert!(frac < 0.2, "v6 flow share {frac}");
     }
 
@@ -807,11 +746,9 @@ mod tests {
             "population should contain secondary-US devices"
         );
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
+        let (records, _) = sim.run_fold(w.config.study_period, &CollectFold);
         // At least some flows must land on North-American servers.
-        let us_flows = sink
-            .records
+        let us_flows = records
             .iter()
             .filter(|r| {
                 w.server_by_ip.get(&r.remote).is_some_and(|&sid| {
@@ -825,29 +762,27 @@ mod tests {
     }
 
     #[test]
-    fn fold_run_matches_sink_run() {
+    fn every_export_reaches_the_fold() {
         let w = world();
-        let sim = TrafficSimulator::new(&w);
-        let mut sink = iotmap_netflow::CountingSink::default();
-        let sink_stats = sim.run(w.config.study_period, &mut sink);
-        let (totals, fold_stats) =
-            sim.run_fold(w.config.study_period, &iotmap_netflow::CountingFold);
-        assert_eq!(totals.records, sink.records);
-        assert_eq!(fold_stats.flows_generated, sink_stats.flows_generated);
-        assert_eq!(fold_stats.flows_exported, sink_stats.flows_exported);
-        assert_eq!(fold_stats.device_days, sink_stats.device_days);
+        let heavy = iotmap_faults::FaultPlan::heavy();
+        let sim = TrafficSimulator::with_faults(&w, heavy.seed, heavy.netflow);
+        for threads in [1, 4] {
+            let (totals, stats) = iotmap_par::with_threads(threads, || {
+                sim.run_fold(w.config.study_period, &CountingFold)
+            });
+            assert!(totals.records > 0);
+            assert_eq!(totals.records, stats.flows_exported, "threads {threads}");
+        }
     }
 
     #[test]
     fn fold_run_is_thread_invariant() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let serial = iotmap_par::with_threads(1, || {
-            sim.run_fold(w.config.study_period, &iotmap_netflow::CountingFold)
-        });
-        let sharded = iotmap_par::with_threads(4, || {
-            sim.run_fold(w.config.study_period, &iotmap_netflow::CountingFold)
-        });
+        let serial =
+            iotmap_par::with_threads(1, || sim.run_fold(w.config.study_period, &CountingFold));
+        let sharded =
+            iotmap_par::with_threads(4, || sim.run_fold(w.config.study_period, &CountingFold));
         assert_eq!(serial.0, sharded.0);
         assert_eq!(serial.1.flows_exported, sharded.1.flows_exported);
     }
@@ -856,17 +791,15 @@ mod tests {
     fn replicated_fold_scales_the_population() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let (one, one_stats) =
-            sim.run_replicated_fold(w.config.study_period, 1, &iotmap_netflow::CountingFold);
-        let (three, three_stats) =
-            sim.run_replicated_fold(w.config.study_period, 3, &iotmap_netflow::CountingFold);
+        let (one, one_stats) = sim.run_replicated_fold(w.config.study_period, 1, &CountingFold);
+        let (three, three_stats) = sim.run_replicated_fold(w.config.study_period, 3, &CountingFold);
         // Replicas 1..3 carry no scanner lines, so growth is roughly — not
         // exactly — linear in the household population.
         assert!(three.records > one.records * 2, "{three:?} vs {one:?}");
         assert!(three_stats.device_days > one_stats.device_days * 2);
         // Replica 0 is the unreplicated population: byte-identical stats.
         assert_eq!(one_stats.flows_exported, {
-            let (_, s) = sim.run_fold(w.config.study_period, &iotmap_netflow::CountingFold);
+            let (_, s) = sim.run_fold(w.config.study_period, &CountingFold);
             s.flows_exported
         });
     }
@@ -875,16 +808,13 @@ mod tests {
     fn heavy_bosch_devices_move_big_volumes_on_5671() {
         let w = world();
         let sim = TrafficSimulator::new(&w);
-        let mut sink = StoringSink::new();
-        sim.run(w.config.study_period, &mut sink);
-        let amqp_bytes: u64 = sink
-            .records
+        let (records, _) = sim.run_fold(w.config.study_period, &CollectFold);
+        let amqp_bytes: u64 = records
             .iter()
             .filter(|r| r.port.port == 5671 && r.direction == Direction::Downstream)
             .map(|r| r.bytes)
             .sum();
-        let total: u64 = sink
-            .records
+        let total: u64 = records
             .iter()
             .filter(|r| r.direction == Direction::Downstream)
             .map(|r| r.bytes)

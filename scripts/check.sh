@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Lint + format + fault-matrix gate, the same commands CI runs
-# (.github/workflows/ci.yml).
+# Lint + format + workspace tests + fault-matrix gate, the same commands
+# CI runs (.github/workflows/ci.yml).
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -11,6 +11,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets (allocation lints promoted)"
 cargo clippy --workspace --all-targets -- -D warnings \
   -W clippy::redundant_clone -W clippy::inefficient_to_string
+
+# Every member crate's unit and integration tests, not just the root
+# package's (a bare `cargo test` at the workspace root runs only those).
+echo "==> cargo test --workspace"
+cargo test --workspace -q
 
 # The CI fault matrix, condensed: degraded runs must complete cleanly
 # at every point of (--faults × --threads).

@@ -88,7 +88,7 @@ use iotmap_nettypes::{Error, StudyPeriod};
 use iotmap_scenario::Scenario;
 use iotmap_super::{CheckpointStore, StageArtifact, StagePolicy, Supervisor};
 use iotmap_traffic::{
-    AnalysisFold, AnalysisReport, ContactFold, ContactSink, IpIndex, ScannerAnalysis,
+    AnalysisFold, AnalysisReport, ContactFold, IpIndex, LineContacts, ScannerAnalysis,
 };
 use iotmap_world::{CollectedScans, TrafficSimulator, World, WorldConfig};
 use std::collections::{HashMap, HashSet};
@@ -916,7 +916,10 @@ pub struct RunArtifacts {
 impl RunArtifacts {
     /// A traffic simulator over the prepared world, carrying the run's
     /// NetFlow fault plan (a no-fault plan yields the plain simulator).
-    fn simulator(&self) -> TrafficSimulator<'_> {
+    /// Every traffic pass — here and in callers replaying flows for
+    /// their own folds — goes through this, so export loss persists
+    /// into everything §5 measures.
+    pub fn simulator(&self) -> TrafficSimulator<'_> {
         TrafficSimulator::with_faults(&self.world, self.faults.seed, self.faults.netflow.clone())
     }
 
@@ -947,16 +950,15 @@ impl RunArtifacts {
     /// First traffic pass: per-line backend contact sets over a period.
     ///
     /// Runs as a streaming fold: per-shard partials merged in shard
-    /// order, byte-identical to the serial sink at any thread count.
-    pub fn contact_pass(&self, period: StudyPeriod) -> ContactSink<'_> {
+    /// order, byte-identical at any thread count.
+    pub fn contact_pass(&self, period: StudyPeriod) -> LineContacts {
         let _span = iotmap_obs::span!("traffic.contact_pass");
         let sim = self.simulator();
-        let (per_line, _) = sim.run_fold(period, &ContactFold::new(&self.index));
-        ContactSink::from_parts(&self.index, per_line)
+        sim.run_fold(period, &ContactFold::new(&self.index)).0
     }
 
     /// Scanner exclusion at the paper's threshold.
-    pub fn excluded_lines(&self, contacts: &ContactSink<'_>) -> HashSet<LineId> {
+    pub fn excluded_lines(&self, contacts: &LineContacts) -> HashSet<LineId> {
         let _span = iotmap_obs::span!("traffic.scanner_exclusion");
         let analysis = ScannerAnalysis::new(&self.index, contacts);
         let flagged = analysis.flagged_lines(SCANNER_THRESHOLD);

@@ -1,8 +1,8 @@
 //! The 100×-scale tentpole's correctness contract: the interned-ID +
 //! streaming-fold pipeline must stay **byte-identical** — by
 //! `canonical_dump()` — across thread counts and fault plans, and the
-//! traffic passes rebuilt on `FlowFold` must equal the serial sink runs
-//! they replaced.
+//! `FlowFold` traffic passes must be thread-count invariant under a
+//! faulted NetFlow export.
 //!
 //! Matrix: small preset × threads {1, 4} × faults {none, heavy}, plus a
 //! `#[ignore]`d paper-preset variant at threads {1, 2, 4, 8} for the
@@ -10,8 +10,6 @@
 
 use iotmap::faults::FaultPlan;
 use iotmap::prelude::*;
-use iotmap::traffic::{AnalysisSink, ContactSink};
-use iotmap::world::TrafficSimulator;
 
 fn dump(config: &WorldConfig, faults: &FaultPlan, threads: usize) -> Vec<u8> {
     Pipeline::new(config.clone())
@@ -35,38 +33,36 @@ fn small_dump_is_thread_invariant_under_faults() {
     }
 }
 
+/// Both facade traffic passes under heavy NetFlow faults: threads 1 is
+/// the serial export order, and the sharded folds at threads 4 must
+/// reproduce it exactly.
 #[test]
-fn traffic_folds_match_the_serial_sinks() {
+fn traffic_passes_are_thread_invariant_under_faults() {
     let artifacts = Pipeline::new(WorldConfig::small(42))
+        .faults(FaultPlan::heavy())
         .run()
         .expect("pipeline");
     let period = artifacts.world.config.study_period;
-    let sim = TrafficSimulator::with_faults(
-        &artifacts.world,
-        artifacts.faults.seed,
-        artifacts.faults.netflow.clone(),
-    );
-
-    // Contact pass: the fold-backed facade pass against a plain serial
-    // sink run over the same simulator.
-    let folded = artifacts.contact_pass(period);
-    let mut serial = ContactSink::new(&artifacts.index);
-    sim.run(period, &mut serial);
+    let passes = |threads| {
+        with_threads(threads, || {
+            let contacts = artifacts.contact_pass(period);
+            let excluded = artifacts.excluded_lines(&contacts);
+            let report = artifacts.analysis_pass(period, &excluded);
+            (contacts, excluded, report)
+        })
+    };
+    let (serial_contacts, serial_excluded, serial_report) = passes(1);
+    assert!(!serial_contacts.is_empty());
+    let (contacts, excluded, report) = passes(4);
     assert_eq!(
-        folded.per_line, serial.per_line,
-        "fold-backed contact pass diverges from the serial sink"
+        contacts, serial_contacts,
+        "contact pass diverges at threads=4"
     );
-
-    // Analysis pass: report equality (AnalysisReport: PartialEq).
-    let excluded = artifacts.excluded_lines(&folded);
-    let folded_report = artifacts.analysis_pass(period, &excluded);
-    let mut sink = AnalysisSink::new(&artifacts.index, &excluded, period);
-    sim.run(period, &mut sink);
     assert_eq!(
-        folded_report,
-        sink.into_report(),
-        "fold-backed analysis pass diverges from the serial sink"
+        excluded, serial_excluded,
+        "scanner exclusion diverges at threads=4"
     );
+    assert_eq!(report, serial_report, "analysis pass diverges at threads=4");
 }
 
 #[test]

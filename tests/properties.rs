@@ -13,7 +13,7 @@
 //!   environment, so these stay gated off by default.
 
 use iotmap::faults::FaultPlan;
-use iotmap::netflow::{FlowRecord, FlowSink};
+use iotmap::netflow::{CountingFold, FlowTotals};
 use iotmap::prelude::*;
 use iotmap::world::TrafficSimulator;
 use std::collections::BTreeSet;
@@ -95,16 +95,11 @@ fn fault_monotonicity_discovered_ips_nest() {
     );
 }
 
-struct CountingSink {
-    records: u64,
-    bytes: u64,
-}
-
-impl FlowSink for CountingSink {
-    fn accept(&mut self, record: &FlowRecord) {
-        self.records += 1;
-        self.bytes += record.bytes;
-    }
+/// Exported record and byte totals of one traffic pass over a run's
+/// world, under that run's NetFlow fault plan.
+fn exported_volume(artifacts: &RunArtifacts) -> FlowTotals {
+    let period = artifacts.world.config.study_period;
+    artifacts.simulator().run_fold(period, &CountingFold).0
 }
 
 /// NetFlow export loss is monotone in the plan: the same world simulated
@@ -112,24 +107,36 @@ impl FlowSink for CountingSink {
 /// count and byte volume.
 #[test]
 fn fault_monotonicity_traffic_volume_never_increases() {
-    let artifacts = run_with_plan(FaultPlan::none());
-    let period = artifacts.world.config.study_period;
-    let volume = |plan: FaultPlan| {
-        let sim = TrafficSimulator::with_faults(&artifacts.world, plan.seed, plan.netflow);
-        let mut sink = CountingSink {
-            records: 0,
-            bytes: 0,
-        };
-        sim.run(period, &mut sink);
-        (sink.records, sink.bytes)
+    let mut artifacts = run_with_plan(FaultPlan::none());
+    let mut volume = |plan: FaultPlan| {
+        artifacts.faults = plan;
+        exported_volume(&artifacts)
     };
     let none = volume(FaultPlan::none());
     let light = volume(FaultPlan::light());
     let heavy = volume(FaultPlan::heavy());
-    assert!(none.0 > 0 && none.1 > 0);
-    assert!(heavy.0 > 0, "heavy faults must degrade, not destroy");
-    assert!(light.0 <= none.0 && light.1 <= none.1);
-    assert!(heavy.0 <= light.0 && heavy.1 <= light.1);
+    assert!(none.records > 0 && none.bytes > 0);
+    assert!(heavy.records > 0, "heavy faults must degrade, not destroy");
+    assert!(light.records <= none.records && light.bytes <= none.bytes);
+    assert!(heavy.records <= light.records && heavy.bytes <= light.bytes);
+}
+
+/// The run's fault plan reaches the traffic passes: a heavy-fault run's
+/// simulator exports fewer records than a plain simulator over the very
+/// same world.
+#[test]
+fn run_simulator_carries_the_netflow_fault_plan() {
+    let artifacts = run_with_plan(FaultPlan::heavy());
+    let period = artifacts.world.config.study_period;
+    let faulted = exported_volume(&artifacts);
+    let (plain, _) = TrafficSimulator::new(&artifacts.world).run_fold(period, &CountingFold);
+    assert!(faulted.records > 0);
+    assert!(
+        faulted.records < plain.records,
+        "heavy plan exported {} of {} records",
+        faulted.records,
+        plain.records
+    );
 }
 
 /// Randomized hostnames for the matching-engine differential: a mix of
